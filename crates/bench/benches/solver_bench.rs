@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faro_bench::workloads::WorkloadSet;
-use faro_core::hierarchical::solve_hierarchical;
-use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
+use faro_core::faro::FaroConfig;
+use faro_core::opt::{solve_global, Fidelity, JobWorkload, MultiTenantProblem};
 use faro_core::types::ResourceModel;
 use faro_core::ClusterObjective;
 use faro_solver::{Cobyla, DifferentialEvolution, NelderMead};
@@ -61,6 +61,9 @@ fn bench_solvers_fig5(c: &mut Criterion) {
 fn bench_hierarchical_fig7a(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7a_hierarchical");
     group.sample_size(10);
+    let mut cfg = FaroConfig::new(ClusterObjective::Sum);
+    cfg.hierarchical_threshold = 0; // Grouped at every job count.
+    let grouped = cfg.solve_spec().expect("valid knobs");
     for n_jobs in [20usize, 50] {
         let jobs = snapshot(n_jobs);
         let resources = ResourceModel::replicas(faro_core::units::ReplicaCount::new(
@@ -79,14 +82,12 @@ fn bench_hierarchical_fig7a(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("grouped_g10", n_jobs), &n_jobs, |b, _| {
             b.iter(|| {
-                solve_hierarchical(
-                    &jobs,
+                solve_global(
+                    &grouped,
+                    jobs.clone(),
                     resources.clone(),
-                    ClusterObjective::Sum,
-                    Fidelity::Relaxed,
                     &Cobyla::fast(),
                     &current,
-                    10,
                     7,
                 )
                 .expect("solves")

@@ -156,7 +156,7 @@ fn replay_and_dump(set: &WorkloadSet, cfg: &SimConfig, out_dir: &str) -> u64 {
 }
 
 /// Times a single-threaded fig15-style size sweep twice — NoopSink
-/// (the Runner default) vs TraceSink — so the ratio isolates tracing
+/// (the `Driver` default) vs TraceSink — so the ratio isolates tracing
 /// overhead with no thread-scheduling noise.
 fn measure_overhead(set: &WorkloadSet, quick: bool) -> (f64, f64) {
     let sizes: Vec<u32> = if quick {

@@ -9,8 +9,8 @@
 //! Usage: `cargo run --release -p faro-bench --bin fig07_hierarchical`
 
 use faro_bench::prelude::*;
-use faro_core::hierarchical::solve_hierarchical;
-use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
+use faro_core::faro::FaroConfig;
+use faro_core::opt::{solve_global, Fidelity, JobWorkload, MultiTenantProblem};
 use faro_core::types::ResourceModel;
 use faro_solver::Cobyla;
 use std::time::Instant;
@@ -68,18 +68,14 @@ fn main() {
             if groups >= n_jobs {
                 continue;
             }
+            // Every job count goes through the grouped path.
+            let mut cfg = FaroConfig::new(ClusterObjective::Sum);
+            cfg.hierarchical_threshold = 0;
+            cfg.groups = groups;
+            let spec = cfg.solve_spec().expect("valid knobs");
             let start = Instant::now();
-            let out = solve_hierarchical(
-                &jobs,
-                resources.clone(),
-                ClusterObjective::Sum,
-                Fidelity::Relaxed,
-                &solver,
-                &current,
-                groups,
-                7,
-            )
-            .expect("solves");
+            let out = solve_global(&spec, jobs.clone(), resources.clone(), &solver, &current, 7)
+                .expect("solves");
             let ms = start.elapsed().as_secs_f64() * 1e3;
             // Score the grouped allocation with the flat problem for an
             // apples-to-apples objective.

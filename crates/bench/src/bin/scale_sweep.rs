@@ -17,14 +17,14 @@
 //! Usage: `cargo run --release -p faro-bench --bin scale_sweep`
 //!   FARO_QUICK=1        40/100-job rows, fewer warm rounds (CI smoke)
 //!   FARO_BENCH_LABEL=x  entry label (default "pr7-sharded-solver")
-//!   FARO_BENCH_OUT=path output file (default <repo>/BENCH_perf.json)
+//!   FARO_BENCH_OUT=path output file (default `<repo>/BENCH_perf.json`)
 //!
 //! The sharded/global utility gap is asserted under threshold at every
 //! row — CI's `scale-smoke` job runs this binary for exactly that gate.
 
 use faro_bench::prelude::*;
-use faro_core::hierarchical::solve_hierarchical;
-use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
+use faro_core::faro::FaroConfig;
+use faro_core::opt::{solve_global, Fidelity, JobWorkload, MultiTenantProblem};
 use faro_core::rng::SplitMix64;
 use faro_core::sharded::{ShardConfig, ShardedSolver};
 use faro_core::types::{ResourceModel, Slo};
@@ -130,44 +130,29 @@ fn round_schedule(base: &[JobWorkload], warm_rounds: usize, seed: u64) -> Vec<Ve
 }
 
 /// One global solve round: the path `FaroAutoscaler::long_term` takes
-/// today — flat relaxed COBYLA below 50 jobs, hierarchical above.
+/// — flat relaxed COBYLA below 50 jobs, hierarchical above.
 fn global_round(
     jobs: &[JobWorkload],
     resources: ResourceModel,
     current: &[u32],
     seed: u64,
 ) -> Vec<u32> {
-    let solver = Cobyla::fast();
-    if jobs.len() > 50 {
-        // Keep group size near the paper's ~100 jobs: COBYLA cost grows
-        // superlinearly in variables, so fixed groups=10 at 5,000 jobs
-        // would mean 500-variable group solves.
-        let groups = (jobs.len() / 100).clamp(10, 64);
-        let out = solve_hierarchical(
-            jobs,
-            resources,
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-            &solver,
-            current,
-            groups,
-            seed,
-        )
-        .expect("global hierarchical solve");
-        out.replicas
-    } else {
-        let problem = MultiTenantProblem::new(
-            jobs.to_vec(),
-            resources,
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-        )
-        .expect("valid problem");
-        let alloc = problem.solve(&solver, current).expect("global flat solve");
-        let mut xs = problem.integerize(&alloc);
-        problem.shrink(&mut xs, &alloc.drop_rates);
-        xs
-    }
+    let mut cfg = FaroConfig::new(ClusterObjective::Sum);
+    // Keep group size near the paper's ~100 jobs: COBYLA cost grows
+    // superlinearly in variables, so fixed groups=10 at 5,000 jobs
+    // would mean 500-variable group solves.
+    cfg.groups = (jobs.len() / 100).clamp(10, 64);
+    let spec = cfg.solve_spec().expect("valid knobs");
+    solve_global(
+        &spec,
+        jobs.to_vec(),
+        resources,
+        &Cobyla::fast(),
+        current,
+        seed,
+    )
+    .expect("global solve")
+    .replicas
 }
 
 /// Shard count for a row: enough shards that a handful of step-changed
@@ -235,6 +220,9 @@ fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
         ..ShardConfig::default()
     };
     let mut sharded = ShardedSolver::new(cfg, seed);
+    let spec = FaroConfig::new(ClusterObjective::Sum)
+        .solve_spec()
+        .expect("valid knobs");
     let solver = Cobyla::fast();
     let mut current = vec![1u32; n];
     let mut sharded_times = Vec::new();
@@ -244,14 +232,7 @@ fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
     for (r, jobs) in schedule.iter().enumerate() {
         let start = Instant::now();
         let out = sharded
-            .solve(
-                jobs,
-                resources.clone(),
-                ClusterObjective::Sum,
-                Fidelity::Relaxed,
-                &solver,
-                &current,
-            )
+            .solve(&spec, jobs, resources.clone(), &solver, &current)
             .expect("sharded solve");
         sharded_times.push(start.elapsed().as_secs_f64() * 1000.0);
         eprintln!(

@@ -28,10 +28,13 @@ pub use workloads::WorkloadSet;
 /// `use faro_bench::prelude::*;`.
 ///
 /// Covers the trial runner ([`ExperimentSpec`], [`run_matrix`],
-/// [`summarize`], [`quick_mode`]), policy and workload construction
-/// ([`PolicyKind`], [`Ablation`](crate::policies::Ablation),
-/// [`WorkloadSet`], [`ClusterObjective`], [`FairShare`]), simulation
-/// entry points ([`Simulation`], [`SimConfig`], [`FaultPlan`],
+/// [`summarize`], [`quick_mode`](crate::harness::quick_mode)), policy
+/// and workload construction ([`PolicyKind`],
+/// [`Ablation`](crate::policies::Ablation), [`WorkloadSet`],
+/// [`ClusterObjective`](faro_core::ClusterObjective),
+/// [`FairShare`](faro_core::baselines::FairShare)), simulation entry
+/// points ([`Simulation`](faro_sim::Simulation),
+/// [`SimConfig`](faro_sim::SimConfig), [`FaultPlan`](faro_sim::FaultPlan),
 /// [`RunOutcome`](faro_sim::RunOutcome)), and telemetry sinks.
 pub mod prelude {
     pub use crate::harness::{

@@ -1,8 +1,9 @@
 //! The unified control-loop run report.
 //!
 //! Three overlapping stats types grew up independently —
-//! [`RunStats`] (reconciler round accounting), [`AdmissionStats`]
-//! (quota accounting nested inside it), and [`DriverStats`] (the
+//! [`RunStats`] (reconciler round accounting),
+//! [`AdmissionStats`](crate::reconciler::AdmissionStats) (quota
+//! accounting nested inside it), and [`DriverStats`] (the
 //! resilient driver's failure accounting) — each with its own field
 //! conventions, so answering "how did the run go?" meant knowing
 //! which layer to ask. [`RunReport`] composes all three into one flat

@@ -21,11 +21,9 @@
 //! and never scales down.
 
 use crate::admission::{Admission, ClampToQuota};
-use crate::error::Result;
-use crate::hetero::HeteroProblem;
-use crate::hierarchical::solve_hierarchical;
+use crate::error::{Error, Result};
 use crate::objective::ClusterObjective;
-use crate::opt::{Fidelity, JobWorkload, LatencyModel, MultiTenantProblem};
+use crate::opt::{solve_global, Fidelity, JobWorkload, LatencyModel, SolveSpec};
 use crate::policy::{Policy, PolicyIntrospection};
 use crate::predictor::{sanitize_history, RatePredictor};
 use crate::sharded::{ShardedSolver, SolvePlan};
@@ -57,13 +55,18 @@ pub struct FaroConfig {
     pub cold_start_minutes: usize,
     /// Probabilistic trajectories sampled per job (1 = use the mean).
     pub samples: usize,
-    /// Stage-3 shrinking on/off (ablation).
+    /// Stage-3 shrinking on/off (ablation). Applies to every flat solve:
+    /// the global one, each flat shard solve, and the classed solve.
+    /// Grouped solves never shrink.
     pub use_shrinking: bool,
     /// Short-term reactive autoscaler on/off (ablation).
     pub use_hybrid: bool,
-    /// Job count beyond which the hierarchical solve kicks in.
+    /// Job count beyond which the hierarchical (grouped) solve kicks
+    /// in: for the global solve the cluster's job count, for the
+    /// sharded plan each shard's member count.
     pub hierarchical_threshold: usize,
-    /// Group count for the hierarchical solve (paper default: 10).
+    /// Group count for the hierarchical solve (paper default: 10), on
+    /// the global path and inside shards alike.
     pub groups: usize,
     /// How the long-term solve is organized: one global solve per round
     /// (paper-faithful default) or the sharded incremental path
@@ -109,6 +112,32 @@ impl FaroConfig {
             seed: 0,
             resilience: false,
         }
+    }
+
+    /// The validated knobs of the long-term solve, shared by every
+    /// solve path.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when `alpha` is not finite and
+    /// positive; a queueing error when `rho_max` is outside `(0, 1)`.
+    pub fn solve_spec(&self) -> Result<SolveSpec> {
+        if !(self.alpha.is_finite() && self.alpha > 0.0) {
+            return Err(Error::InvalidConfig(format!(
+                "alpha must be finite and positive, got {}",
+                self.alpha
+            )));
+        }
+        Ok(SolveSpec {
+            objective: self.objective,
+            fidelity: self.fidelity,
+            latency_model: self.latency_model,
+            utility: RelaxedUtility::new(self.alpha),
+            latency: RelaxedLatency::new(self.rho_max)?,
+            shrink: self.use_shrinking,
+            flat_threshold: self.hierarchical_threshold,
+            groups: self.groups,
+        })
     }
 }
 
@@ -263,63 +292,42 @@ impl FaroAutoscaler {
 
     /// Stages 2 and 3: solve, integerize, shrink.
     fn long_term(&mut self, snapshot: &ClusterSnapshot) -> Result<Vec<JobDecision>> {
+        let spec = self.config.solve_spec()?;
         let jobs = self.formulate(snapshot);
         let current: Vec<u32> = snapshot.jobs.iter().map(|j| j.target_replicas).collect();
         if snapshot.resources.n_classes() > 1 {
-            return self.long_term_hetero(snapshot, jobs, &current);
+            return self.long_term_hetero(&spec, snapshot, jobs, &current);
         }
-        let (mut replicas, drop_rates) = if let SolvePlan::Sharded(scfg) = self.config.solve_plan {
-            // Like the hierarchical branch, the sharded path sticks to
-            // the problem's default latency model and relaxations: the
-            // within-shard solves own those knobs.
-            let seed = self.config.seed;
-            let sharded = self
-                .sharded
-                .get_or_insert_with(|| ShardedSolver::new(scfg, seed));
-            let out = sharded.solve(
-                &jobs,
-                snapshot.resources.clone(),
-                self.config.objective,
-                self.config.fidelity,
-                &self.solver,
-                &current,
-            )?;
-            self.intro.solver_evals += out.record.evals + out.record.split_evals;
-            self.intro.shard_record = Some(out.record);
-            self.intro.shard_spans = out.shard_spans;
-            (out.replicas, out.drop_rates)
-        } else if jobs.len() > self.config.hierarchical_threshold {
-            let out = solve_hierarchical(
-                &jobs,
-                snapshot.resources.clone(),
-                self.config.objective,
-                self.config.fidelity,
-                &self.solver,
-                &current,
-                self.config.groups,
-                self.config.seed,
-            )?;
-            self.intro.solver_evals += out.evals as u64;
-            (out.replicas, out.drop_rates)
-        } else {
-            let problem = MultiTenantProblem::new(
-                jobs,
-                snapshot.resources.clone(),
-                self.config.objective,
-                self.config.fidelity,
-            )?
-            .with_latency_model(self.config.latency_model)
-            .with_utility(RelaxedUtility::new(self.config.alpha))
-            .with_relaxed_latency(
-                RelaxedLatency::new(self.config.rho_max).map_err(crate::error::Error::from)?,
-            );
-            let alloc = problem.solve(&self.solver, &current)?;
-            self.intro.solver_evals += alloc.evals as u64;
-            let mut xs = problem.integerize(&alloc);
-            if self.config.use_shrinking {
-                problem.shrink(&mut xs, &alloc.drop_rates);
+        let (mut replicas, drop_rates) = match self.config.solve_plan {
+            SolvePlan::Sharded(scfg) => {
+                let seed = self.config.seed;
+                let sharded = self
+                    .sharded
+                    .get_or_insert_with(|| ShardedSolver::new(scfg, seed));
+                let out = sharded.solve(
+                    &spec,
+                    &jobs,
+                    snapshot.resources.clone(),
+                    &self.solver,
+                    &current,
+                )?;
+                self.intro.solver_evals += out.record.evals + out.record.split_evals;
+                self.intro.shard_record = Some(out.record);
+                self.intro.shard_spans = out.shard_spans;
+                (out.replicas, out.drop_rates)
             }
-            (xs, alloc.drop_rates)
+            SolvePlan::Global => {
+                let out = solve_global(
+                    &spec,
+                    jobs,
+                    snapshot.resources.clone(),
+                    &self.solver,
+                    &current,
+                    self.config.seed,
+                )?;
+                self.intro.solver_evals += out.evals as u64;
+                (out.replicas, out.drop_rates)
+            }
         };
 
         // Defensive floor (solvers already respect bounds).
@@ -334,8 +342,8 @@ impl FaroAutoscaler {
     }
 
     /// Class-aware stages 2 and 3 for clusters with two or more replica
-    /// classes: one flat [`HeteroProblem`] solve, class-aware
-    /// integerize, class-aware shrink.
+    /// classes: one flat [`crate::hetero::HeteroProblem`] solve,
+    /// class-aware integerize, class-aware shrink.
     ///
     /// The flat classed solve replaces the sharded and hierarchical
     /// organizations here — both partition a *scalar* quota, which has
@@ -346,6 +354,7 @@ impl FaroAutoscaler {
     /// pool always scores M/D/c on its effective service time.
     fn long_term_hetero(
         &mut self,
+        spec: &SolveSpec,
         snapshot: &ClusterSnapshot,
         jobs: Vec<JobWorkload>,
         current: &[u32],
@@ -362,21 +371,13 @@ impl FaroAutoscaler {
                     .collect()
             })
             .collect();
-        let problem = HeteroProblem::new(
-            jobs,
-            snapshot.resources.clone(),
-            self.config.objective,
-            self.config.fidelity,
-        )?
-        .with_utility(RelaxedUtility::new(self.config.alpha))
-        .with_relaxed_latency(
-            RelaxedLatency::new(self.config.rho_max).map_err(crate::error::Error::from)?,
-        )
-        .with_affinity(masks)?;
+        let problem = spec
+            .hetero_problem(jobs, snapshot.resources.clone())?
+            .with_affinity(masks)?;
         let alloc = problem.solve(&self.solver, current)?;
         self.intro.solver_evals += alloc.evals as u64;
         let mut allocs = problem.integerize(&alloc);
-        if self.config.use_shrinking {
+        if spec.shrink {
             problem.shrink(&mut allocs, &alloc.drop_rates);
         }
         Ok(allocs
@@ -953,6 +954,22 @@ mod tests {
         // Reactive ticks between solves report no shard record.
         f.decide(&snapshot(310.0, 60, mk(1)));
         assert!(f.introspect().shard_record.is_none());
+    }
+
+    #[test]
+    fn invalid_alpha_carries_forward_instead_of_panicking() {
+        for alpha in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = FaroConfig::new(ClusterObjective::Sum);
+            cfg.alpha = alpha;
+            assert!(
+                matches!(cfg.solve_spec(), Err(Error::InvalidConfig(_))),
+                "alpha {alpha}"
+            );
+            let mut f = FaroAutoscaler::new(cfg, Vec::new());
+            let ds = f.decide(&snapshot(0.0, 16, vec![obs(600.0, 3, 0.1)]));
+            assert!(f.introspect().carried_forward, "alpha {alpha}");
+            assert_eq!(t0(&ds), 3, "alpha {alpha}: allocation kept");
+        }
     }
 
     #[test]

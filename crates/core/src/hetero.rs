@@ -38,7 +38,7 @@ use std::sync::Mutex;
 
 use crate::error::{Error, Result};
 use crate::objective::{ClusterObjective, JobUtility};
-use crate::opt::{Fidelity, JobWorkload};
+use crate::opt::{shrink_greedy, trim_to_capacity, Fidelity, JobWorkload, SolveSpec};
 use crate::penalty::{phi, PenaltyShape};
 use crate::types::{ClassAlloc, ReplicaClass, ResourceModel, RESOURCE_DIMS};
 use crate::units::ReplicaCount;
@@ -147,19 +147,6 @@ impl HeteroProblem {
             allowed,
             memo: Mutex::new(BTreeMap::new()),
         })
-    }
-
-    /// Overrides the relaxed utility sharpness.
-    pub fn with_utility(mut self, u: RelaxedUtility) -> Self {
-        self.relaxed_utility = u;
-        self
-    }
-
-    /// Overrides the relaxed latency knee.
-    pub fn with_relaxed_latency(mut self, l: RelaxedLatency) -> Self {
-        self.relaxed_latency = l;
-        self.memo = Mutex::new(BTreeMap::new());
-        self
     }
 
     /// Restricts which classes each job may run on
@@ -472,61 +459,35 @@ impl HeteroProblem {
             })
             .collect();
         let drop_of = |j: usize| alloc.drop_rates.get(j).copied().unwrap_or(0.0);
-        let mut utils: Vec<JobUtility> = (0..n)
-            .map(|j| self.job_utility_alloc(j, &allocs[j], drop_of(j)))
-            .collect();
-        loop {
-            let mut usage = [0.0; RESOURCE_DIMS];
-            for a in &allocs {
-                for (u, v) in usage.iter_mut().zip(self.resources.usage_of(a)) {
-                    *u += v;
+        let caps = self.resources.capacities();
+        trim_to_capacity(
+            self.objective,
+            &mut allocs,
+            |allocs| {
+                let mut usage = [0.0; RESOURCE_DIMS];
+                for a in allocs {
+                    for (u, v) in usage.iter_mut().zip(self.resources.usage_of(a)) {
+                        *u += v;
+                    }
                 }
-            }
-            if self.resources.fits(&usage) {
-                break;
-            }
-            let caps = self.resources.capacities();
-            let dim = (0..RESOURCE_DIMS)
-                .max_by(|&a, &b| {
+                if self.resources.fits(&usage) {
+                    return None;
+                }
+                // The most-overcommitted dimension.
+                (0..RESOURCE_DIMS).max_by(|&a, &b| {
                     (usage[a] - caps[a])
                         .partial_cmp(&(usage[b] - caps[b]))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
-                .unwrap_or(0);
-            let before = self.objective.aggregate(&utils);
-            let mut best: Option<(usize, usize, f64, JobUtility)> = None;
-            for j in 0..n {
-                if allocs[j].total() <= 1 {
-                    continue;
-                }
-                for c in 0..nc {
-                    if allocs[j].count(c) == 0 || self.resources.classes[c].cost()[dim] <= 0.0 {
-                        continue;
-                    }
-                    let mut cand_alloc = allocs[j];
-                    cand_alloc.add(c, -1);
-                    let cand = self.job_utility_alloc(j, &cand_alloc, drop_of(j));
-                    let saved = std::mem::replace(&mut utils[j], cand);
-                    let after = self.objective.aggregate(&utils);
-                    utils[j] = saved;
-                    let loss = before - after;
-                    if best.as_ref().is_none_or(|&(_, _, b, _)| loss < b) {
-                        best = Some((j, c, loss, cand));
-                    }
-                }
-            }
-            match best {
-                Some((j, c, _, cand)) => {
-                    allocs[j].add(c, -1);
-                    utils[j] = cand;
-                }
-                // Every job is at one replica (or no class consumes the
-                // overcommitted dimension): leave the floor in place and
-                // let vector admission arbitrate, as the homogeneous
-                // pipeline does.
-                None => break,
-            }
-        }
+            },
+            |_, a, &dim| {
+                decrements(
+                    a,
+                    (0..nc).filter(|&c| self.resources.classes[c].cost()[dim] > 0.0),
+                )
+            },
+            |j, a| self.job_utility_alloc(j, a, drop_of(j)),
+        );
         allocs
     }
 
@@ -534,40 +495,52 @@ impl HeteroProblem {
     /// replicas from jobs at full predicted utility while the cluster
     /// objective stays unchanged, draining the slowest class first.
     pub fn shrink(&self, allocs: &mut [ClassAlloc], drops: &[f64]) {
-        let eps = 1e-9;
         let drop_of = |j: usize| drops.get(j).copied().unwrap_or(0.0);
-        let mut utils: Vec<JobUtility> = (0..allocs.len())
-            .map(|j| self.job_utility_alloc(j, &allocs[j], drop_of(j)))
-            .collect();
         let mut order = self.classes_by_speed();
         order.reverse(); // Slowest first.
-        for j in 0..allocs.len() {
-            'job: loop {
-                if allocs[j].total() <= 1 {
-                    break;
-                }
-                if utils[j].utility < 1.0 - 1e-9 {
-                    break; // Only shrink jobs at (predicted) utility 1.
-                }
-                let before = self.objective.aggregate(&utils);
-                for &(c, _) in &order {
-                    if allocs[j].count(c) == 0 {
-                        continue;
-                    }
-                    let mut cand_alloc = allocs[j];
-                    cand_alloc.add(c, -1);
-                    let cand = self.job_utility_alloc(j, &cand_alloc, drop_of(j));
-                    let saved = std::mem::replace(&mut utils[j], cand);
-                    let after = self.objective.aggregate(&utils);
-                    if after >= before - eps {
-                        allocs[j] = cand_alloc;
-                        continue 'job;
-                    }
-                    utils[j] = saved;
-                }
-                break; // No class can give one up for free.
-            }
-        }
+        shrink_greedy(
+            self.objective,
+            allocs,
+            |a| decrements(a, order.iter().map(|&(c, _)| c)),
+            |j, a| self.job_utility_alloc(j, a, drop_of(j)),
+        );
+    }
+}
+
+/// `a` with one replica of each of `classes` it holds removed, in
+/// `classes` order; nothing at the one-replica floor.
+fn decrements(a: &ClassAlloc, classes: impl Iterator<Item = usize>) -> Vec<ClassAlloc> {
+    if a.total() <= 1 {
+        return Vec::new();
+    }
+    classes
+        .filter(|&c| a.count(c) > 0)
+        .map(|c| {
+            let mut cand = *a;
+            cand.add(c, -1);
+            cand
+        })
+        .collect()
+}
+
+impl SolveSpec {
+    /// The class-aware problem over `jobs` with this spec's objective,
+    /// fidelity and relaxations. The latency model is not applied: the
+    /// upper-bound ablation is scalar-only, and the mixed pool always
+    /// scores M/D/c on its effective service time.
+    ///
+    /// # Errors
+    ///
+    /// Fails where [`HeteroProblem::new`] does.
+    pub fn hetero_problem(
+        &self,
+        jobs: Vec<JobWorkload>,
+        resources: ResourceModel,
+    ) -> Result<HeteroProblem> {
+        let mut problem = HeteroProblem::new(jobs, resources, self.objective, self.fidelity)?;
+        problem.relaxed_utility = self.utility;
+        problem.relaxed_latency = self.latency;
+        Ok(problem)
     }
 }
 

@@ -7,12 +7,14 @@
 //! replica budget among its members proportionally to their offered
 //! load. The paper reports a 64x speedup at ~2% utility change with a
 //! handful of groups, and uses `G = 10` by default.
+//!
+//! The grouped solve is the above-threshold branch of
+//! [`crate::opt::solve_global`].
 
 use crate::error::Result;
-use crate::objective::ClusterObjective;
-use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
+use crate::opt::{IntegerAllocation, JobWorkload, MultiTenantProblem, SolveSpec};
 use crate::rng::SplitMix64;
-use crate::types::{DesiredState, JobDecision, JobId, ResourceModel};
+use crate::types::ResourceModel;
 use crate::units::ReplicaCount;
 use faro_solver::Solver;
 
@@ -58,33 +60,6 @@ pub(crate) fn replica_need(job: &JobWorkload, quota: ReplicaCount) -> f64 {
     )
     .map(|r| r.as_f64())
     .unwrap_or_else(|_| (mean_lambda * job.processing_time).max(1.0) + 1.0)
-}
-
-/// Result of a hierarchical solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierarchicalAllocation {
-    /// Integer replica counts per job.
-    pub replicas: Vec<u32>,
-    /// Drop rates per job.
-    pub drop_rates: Vec<f64>,
-    /// Group-level continuous objective value.
-    pub group_objective: f64,
-    /// Solver function evaluations spent on the grouped solve.
-    pub evals: usize,
-}
-
-impl HierarchicalAllocation {
-    /// The allocation as a typed [`DesiredState`] — the boundary where
-    /// solver-space positional vectors become [`JobId`]-keyed decisions
-    /// that can never be applied to the wrong job.
-    pub fn desired_state(&self) -> DesiredState {
-        self.replicas
-            .iter()
-            .zip(self.drop_rates.iter())
-            .enumerate()
-            .map(|(j, (&r, &d))| (JobId::new(j), JobDecision::replicas(r).with_drop_rate(d)))
-            .collect()
-    }
 }
 
 /// A `G`-variable view of the flat problem: each group's replica budget
@@ -163,24 +138,19 @@ impl faro_solver::Problem for GroupedProblem<'_> {
     }
 }
 
-/// Solves the multi-tenant problem hierarchically with `groups` groups.
-///
-/// # Errors
-///
-/// Propagates problem-construction and solver failures.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_hierarchical(
-    jobs: &[JobWorkload],
+/// Solves the multi-tenant problem hierarchically with the spec's
+/// group count: the grouped COBYLA solve, expanded to per-job
+/// replicas and integerized by the flat problem. Never shrinks.
+pub(crate) fn solve_grouped(
+    spec: &SolveSpec,
+    jobs: Vec<JobWorkload>,
     resources: ResourceModel,
-    objective: ClusterObjective,
-    fidelity: Fidelity,
     solver: &dyn Solver,
     current: &[u32],
-    groups: usize,
     seed: u64,
-) -> Result<HierarchicalAllocation> {
+) -> Result<IntegerAllocation> {
     let n = jobs.len();
-    let assignment = assign_groups(n, groups, seed);
+    let assignment = assign_groups(n, spec.groups, seed);
     let g = assignment.iter().copied().max().map_or(1, |m| m + 1);
     let mut member_lists: Vec<Vec<usize>> = vec![Vec::new(); g];
     for (job, &grp) in assignment.iter().enumerate() {
@@ -201,12 +171,13 @@ pub fn solve_hierarchical(
         }
     }
 
-    let flat = MultiTenantProblem::new(jobs.to_vec(), resources, objective, fidelity)?;
+    let flat = spec.problem(jobs, resources)?;
+    let uses_drops = spec.objective.uses_drop_rates();
     let grouped = GroupedProblem {
         flat: &flat,
         member_lists: &member_lists,
         shares: &shares,
-        uses_drops: objective.uses_drop_rates(),
+        uses_drops,
     };
     // Initial point: each group starts from its members' current total.
     let mut v0: Vec<f64> = member_lists
@@ -217,7 +188,7 @@ pub fn solve_hierarchical(
                 .sum()
         })
         .collect();
-    if objective.uses_drop_rates() {
+    if uses_drops {
         v0.extend(std::iter::repeat_n(0.0, g));
     }
     let sol = solver.solve(&grouped, &v0)?;
@@ -232,22 +203,47 @@ pub fn solve_hierarchical(
         evals: sol.evals,
     };
     let replicas = flat.integerize(&alloc);
-    Ok(HierarchicalAllocation {
+    Ok(IntegerAllocation {
         replicas,
         drop_rates: alloc.drop_rates,
-        group_objective: -sol.objective,
-        evals: sol.evals,
+        objective_value: alloc.objective_value,
+        evals: alloc.evals,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faro::FaroConfig;
+    use crate::objective::ClusterObjective;
+    use crate::opt::{solve_global, Fidelity};
     use crate::types::Slo;
     use faro_solver::Cobyla;
 
     fn job(lambda: f64) -> JobWorkload {
         JobWorkload::constant(lambda, 0.180, Slo::paper_default(), 1.0)
+    }
+
+    /// Solves `jobs` on the grouped path (threshold forced to zero).
+    fn grouped(
+        jobs: &[JobWorkload],
+        quota: u32,
+        groups: usize,
+        seed: u64,
+    ) -> Result<IntegerAllocation> {
+        let spec = SolveSpec {
+            flat_threshold: 0,
+            groups,
+            ..FaroConfig::new(ClusterObjective::Sum).solve_spec().unwrap()
+        };
+        solve_global(
+            &spec,
+            jobs.to_vec(),
+            ResourceModel::replicas(ReplicaCount::new(quota)),
+            &Cobyla::fast(),
+            &vec![1; jobs.len()],
+            seed,
+        )
     }
 
     #[test]
@@ -273,10 +269,9 @@ mod tests {
         // With generous quota, the grouped solve should reach nearly
         // the flat solve's objective (paper: ~2% difference).
         let jobs: Vec<JobWorkload> = (0..12).map(|i| job(4.0 + f64::from(i) * 2.0)).collect();
-        let resources = ResourceModel::replicas(ReplicaCount::new(60));
         let flat = MultiTenantProblem::new(
             jobs.clone(),
-            resources.clone(),
+            ResourceModel::replicas(ReplicaCount::new(60)),
             ClusterObjective::Sum,
             Fidelity::Relaxed,
         )
@@ -284,18 +279,8 @@ mod tests {
         let flat_alloc = flat.solve(&Cobyla::fast(), &[1; 12]).unwrap();
         let flat_xs = flat.integerize(&flat_alloc);
         let flat_obj = flat.cluster_value_integer(&flat_xs, &flat_alloc.drop_rates);
-        let grouped = solve_hierarchical(
-            &jobs,
-            resources.clone(),
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-            &Cobyla::fast(),
-            &[1; 12],
-            4,
-            7,
-        )
-        .unwrap();
-        let grouped_obj = flat.cluster_value_integer(&grouped.replicas, &grouped.drop_rates);
+        let out = grouped(&jobs, 60, 4, 7).unwrap();
+        let grouped_obj = flat.cluster_value_integer(&out.replicas, &out.drop_rates);
         assert!(
             grouped_obj > 0.9 * flat_obj,
             "grouped {grouped_obj} vs flat {flat_obj}"
@@ -305,54 +290,16 @@ mod tests {
     #[test]
     fn hierarchical_respects_quota_and_minimums() {
         let jobs: Vec<JobWorkload> = (0..12).map(|i| job(5.0 + f64::from(i) * 3.0)).collect();
-        let current = vec![1u32; 12];
-        let out = solve_hierarchical(
-            &jobs,
-            ResourceModel::replicas(ReplicaCount::new(48)),
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-            &Cobyla::fast(),
-            &current,
-            4,
-            7,
-        )
-        .unwrap();
+        let out = grouped(&jobs, 48, 4, 7).unwrap();
         assert_eq!(out.replicas.len(), 12);
         assert!(out.replicas.iter().all(|&x| x >= 1));
         assert!(out.replicas.iter().sum::<u32>() <= 48, "{:?}", out.replicas);
     }
 
     #[test]
-    fn desired_state_preserves_job_identity() {
-        let alloc = HierarchicalAllocation {
-            replicas: vec![3, 1, 5],
-            drop_rates: vec![0.0, 0.2, 0.0],
-            group_objective: 1.0,
-            evals: 10,
-        };
-        let ds = alloc.desired_state();
-        assert_eq!(ds.len(), 3);
-        let d1 = ds.get(JobId::new(1)).unwrap();
-        assert_eq!(d1.target_replicas, 1);
-        assert!((d1.drop_rate - 0.2).abs() < 1e-12);
-        assert_eq!(ds.total_replicas(), 9);
-    }
-
-    #[test]
     fn heavier_jobs_get_more_within_group() {
         // One group: split is purely proportional.
-        let jobs = vec![job(5.0), job(50.0)];
-        let out = solve_hierarchical(
-            &jobs,
-            ResourceModel::replicas(ReplicaCount::new(24)),
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-            &Cobyla::fast(),
-            &[1, 1],
-            1,
-            3,
-        )
-        .unwrap();
+        let out = grouped(&[job(5.0), job(50.0)], 24, 1, 3).unwrap();
         assert!(out.replicas[1] > out.replicas[0], "{:?}", out.replicas);
     }
 
@@ -369,17 +316,7 @@ mod tests {
         )
         .unwrap();
         let flat_alloc = flat.solve(&Cobyla::fast(), &[1; 30]).unwrap();
-        let grouped = solve_hierarchical(
-            &jobs,
-            ResourceModel::replicas(ReplicaCount::new(120)),
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-            &Cobyla::fast(),
-            &[1; 30],
-            5,
-            1,
-        );
-        assert!(grouped.is_ok());
+        assert!(grouped(&jobs, 120, 5, 1).is_ok());
         assert!(flat_alloc.evals > 0);
     }
 }

@@ -11,7 +11,9 @@
 //! - [`objective`]: the Faro-Sum / Fair / FairSum / PenaltySum /
 //!   PenaltyFairSum family of cluster objectives (Sec. 3.2).
 //! - [`opt`]: the precise and relaxed multi-tenant optimization with
-//!   integerization and Stage-3 shrinking (Sec. 3.4, 4.2, 4.3).
+//!   integerization and Stage-3 shrinking (Sec. 3.4, 4.2, 4.3), the
+//!   validated [`opt::SolveSpec`] every solve path is built from, and
+//!   [`opt::solve_global`], the one flat-or-grouped solve.
 //! - [`hierarchical`]: the grouped solve for large job counts (Sec. 3.4).
 //! - [`sharded`]: the sharded incremental solve past Table 8's scale —
 //!   deterministic partitioning, parallel shard solves, dirty tracking.

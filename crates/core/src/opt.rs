@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::{Error, Result};
+use crate::hierarchical::solve_grouped;
 use crate::objective::{ClusterObjective, JobUtility};
 use crate::penalty::{phi, PenaltyShape};
 use crate::types::{ResourceModel, Slo};
@@ -124,6 +125,192 @@ pub enum LatencyModel {
     UpperBound,
 }
 
+/// Every knob of the long-term solve, validated once by
+/// [`crate::faro::FaroConfig::solve_spec`] and shared by the flat,
+/// grouped, sharded and classed paths. It is the only code that turns
+/// knobs into a [`MultiTenantProblem`] ([`SolveSpec::problem`]) or a
+/// [`crate::hetero::HeteroProblem`] ([`SolveSpec::hetero_problem`]),
+/// so a knob means the same thing on every path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolveSpec {
+    pub(crate) objective: ClusterObjective,
+    pub(crate) fidelity: Fidelity,
+    pub(crate) latency_model: LatencyModel,
+    pub(crate) utility: RelaxedUtility,
+    pub(crate) latency: RelaxedLatency,
+    /// Stage-3 shrinking after flat solves (grouped solves never
+    /// shrink).
+    pub(crate) shrink: bool,
+    /// Job count above which [`solve_global`] solves grouped.
+    pub(crate) flat_threshold: usize,
+    /// Group count of the grouped solve.
+    pub(crate) groups: usize,
+}
+
+impl SolveSpec {
+    /// The flat problem over `jobs` with every knob of this spec.
+    ///
+    /// # Errors
+    ///
+    /// Fails where [`MultiTenantProblem::new`] does.
+    pub fn problem(
+        &self,
+        jobs: Vec<JobWorkload>,
+        resources: ResourceModel,
+    ) -> Result<MultiTenantProblem> {
+        let mut problem = MultiTenantProblem::new(jobs, resources, self.objective, self.fidelity)?;
+        problem.latency_model = self.latency_model;
+        problem.relaxed_utility = self.utility;
+        problem.relaxed_latency = self.latency;
+        Ok(problem)
+    }
+}
+
+/// An integer long-term allocation: the output of [`solve_global`] on
+/// the flat and the grouped path alike, and of every shard solve.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IntegerAllocation {
+    /// Integer replica counts per job.
+    pub replicas: Vec<u32>,
+    /// Drop rates per job (zero when unused).
+    pub drop_rates: Vec<f64>,
+    /// The solved continuous objective (maximize convention): the flat
+    /// problem's, or the grouped problem's.
+    pub objective_value: f64,
+    /// Solver function evaluations spent.
+    pub evals: usize,
+}
+
+/// The one global long-term solve (paper Sec. 3.4 and 4.2): up to
+/// [`SolveSpec`]'s flat threshold, a flat COBYLA solve, integerized
+/// and (when the spec says so) shrunk; above it, the grouped solve
+/// with [`SolveSpec`]'s group count and a group assignment drawn from
+/// `seed`. Grouped solves are integerized but never shrunk.
+///
+/// # Errors
+///
+/// Propagates problem-construction and solver failures.
+pub fn solve_global(
+    spec: &SolveSpec,
+    jobs: Vec<JobWorkload>,
+    resources: ResourceModel,
+    solver: &dyn Solver,
+    current: &[u32],
+    seed: u64,
+) -> Result<IntegerAllocation> {
+    if jobs.len() > spec.flat_threshold {
+        return solve_grouped(spec, jobs, resources, solver, current, seed);
+    }
+    let problem = spec.problem(jobs, resources)?;
+    let alloc = problem.solve(solver, current)?;
+    let mut replicas = problem.integerize(&alloc);
+    if spec.shrink {
+        problem.shrink(&mut replicas, &alloc.drop_rates);
+    }
+    Ok(IntegerAllocation {
+        replicas,
+        drop_rates: alloc.drop_rates,
+        objective_value: alloc.objective_value,
+        evals: alloc.evals,
+    })
+}
+
+/// Greedy trim-to-capacity shared by the scalar and classed
+/// integerizers. While `overcommit` reports the allocation over
+/// capacity (with whatever the candidates need to know, such as the
+/// most-overcommitted dimension), it applies the single-replica
+/// decrement from `candidates` that costs the least cluster objective;
+/// ties keep the first candidate in job order. It stops when no
+/// candidate is left (every job at its floor) and leaves the rest to
+/// admission.
+///
+/// Only job `j`'s utility changes when its allocation is decremented,
+/// so per-job utilities are cached and a candidate is scored by
+/// patching one entry before re-aggregating: the aggregate sees the
+/// exact values a full recomputation would produce.
+pub(crate) fn trim_to_capacity<A: Copy, D, C: IntoIterator<Item = A>>(
+    objective: ClusterObjective,
+    allocs: &mut [A],
+    mut overcommit: impl FnMut(&[A]) -> Option<D>,
+    candidates: impl Fn(usize, &A, &D) -> C,
+    utility: impl Fn(usize, &A) -> JobUtility,
+) {
+    let Some(mut over) = overcommit(allocs) else {
+        return;
+    };
+    let mut utils: Vec<JobUtility> = allocs
+        .iter()
+        .enumerate()
+        .map(|(j, a)| utility(j, a))
+        .collect();
+    loop {
+        let before = objective.aggregate(&utils);
+        let mut best: Option<(usize, A, f64, JobUtility)> = None;
+        for j in 0..allocs.len() {
+            for cand in candidates(j, &allocs[j], &over) {
+                let u = utility(j, &cand);
+                let saved = std::mem::replace(&mut utils[j], u);
+                let after = objective.aggregate(&utils);
+                utils[j] = saved;
+                let loss = before - after;
+                if best.as_ref().is_none_or(|&(_, _, b, _)| loss < b) {
+                    best = Some((j, cand, loss, u));
+                }
+            }
+        }
+        let Some((j, cand, _, u)) = best else {
+            return;
+        };
+        allocs[j] = cand;
+        utils[j] = u;
+        match overcommit(allocs) {
+            Some(o) => over = o,
+            None => return,
+        }
+    }
+}
+
+/// Stage-3 shrinking shared by the scalar and classed problems (paper
+/// Sec. 4.3): for each job at (predicted) utility 1, repeatedly applies
+/// the first decrement from `candidates` that leaves the cluster
+/// objective unchanged. A removal is rejected only when the objective
+/// provably drops (`after < before - 1e-9`), so a NaN objective never
+/// blocks one.
+pub(crate) fn shrink_greedy<A: Copy, C: IntoIterator<Item = A>>(
+    objective: ClusterObjective,
+    allocs: &mut [A],
+    candidates: impl Fn(&A) -> C,
+    utility: impl Fn(usize, &A) -> JobUtility,
+) {
+    let eps = 1e-9;
+    let mut utils: Vec<JobUtility> = allocs
+        .iter()
+        .enumerate()
+        .map(|(j, a)| utility(j, a))
+        .collect();
+    for j in 0..allocs.len() {
+        'job: loop {
+            let mut cands = candidates(&allocs[j]).into_iter().peekable();
+            if cands.peek().is_none() || utils[j].utility < 1.0 - 1e-9 {
+                break; // At the floor, or not at (predicted) utility 1.
+            }
+            let before = objective.aggregate(&utils);
+            for cand in cands {
+                let u = utility(j, &cand);
+                let saved = std::mem::replace(&mut utils[j], u);
+                let after = objective.aggregate(&utils);
+                if after < before - eps {
+                    utils[j] = saved; // Cluster utility changed: keep it.
+                    continue;
+                }
+                allocs[j] = cand;
+                continue 'job;
+            }
+            break;
+        }
+    }
+}
+
 /// The assembled multi-tenant optimization problem.
 #[derive(Debug)]
 pub struct MultiTenantProblem {
@@ -196,26 +383,6 @@ impl MultiTenantProblem {
             relaxed_latency: RelaxedLatency::default(),
             cache: SolveCache::default(),
         })
-    }
-
-    /// Overrides the latency model (ablation).
-    pub fn with_latency_model(mut self, model: LatencyModel) -> Self {
-        self.latency_model = model;
-        self.cache = SolveCache::default();
-        self
-    }
-
-    /// Overrides the relaxed utility sharpness.
-    pub fn with_utility(mut self, u: RelaxedUtility) -> Self {
-        self.relaxed_utility = u;
-        self
-    }
-
-    /// Overrides the relaxed latency knee.
-    pub fn with_relaxed_latency(mut self, l: RelaxedLatency) -> Self {
-        self.relaxed_latency = l;
-        self.cache = SolveCache::default();
-        self
     }
 
     /// Number of jobs.
@@ -584,51 +751,19 @@ impl MultiTenantProblem {
     /// plateau — see the Figure 16 ablation).
     pub fn integerize(&self, alloc: &ContinuousAllocation) -> Vec<u32> {
         let quota = self.resources.replica_quota().get();
-        let n = self.jobs.len();
         let mut xs: Vec<u32> = alloc
             .replicas
             .iter()
             .map(|&x| (x.round().max(1.0)) as u32)
             .collect();
-        // If rounding exceeds the quota, trim from the jobs with the
-        // lowest marginal loss. Only job `i`'s utility changes when
-        // `xs[i]` is decremented, so the per-job utilities are cached
-        // and a candidate is scored by patching one entry before
-        // re-aggregating — the aggregate sees the exact same values a
-        // full recomputation would produce.
-        let mut total: u32 = xs.iter().sum();
-        if total <= quota {
-            return xs;
-        }
         let drop_of = |i: usize| alloc.drop_rates.get(i).copied().unwrap_or(0.0);
-        let mut utils: Vec<JobUtility> = (0..n)
-            .map(|i| self.job_utility(i, f64::from(xs[i]), drop_of(i)))
-            .collect();
-        while total > quota {
-            let before = self.objective.aggregate(&utils);
-            let mut best: Option<(usize, f64, JobUtility)> = None;
-            for i in 0..n {
-                if xs[i] <= 1 {
-                    continue;
-                }
-                let cand = self.job_utility(i, f64::from(xs[i] - 1), drop_of(i));
-                let saved = std::mem::replace(&mut utils[i], cand);
-                let after = self.objective.aggregate(&utils);
-                utils[i] = saved;
-                let loss = before - after;
-                if best.as_ref().is_none_or(|&(_, b, _)| loss < b) {
-                    best = Some((i, loss, cand));
-                }
-            }
-            match best {
-                Some((i, _, cand)) => {
-                    xs[i] -= 1;
-                    utils[i] = cand;
-                    total -= 1;
-                }
-                None => break, // All jobs at one replica already.
-            }
-        }
+        trim_to_capacity(
+            self.objective,
+            &mut xs,
+            |xs| (xs.iter().sum::<u32>() > quota).then_some(()),
+            |_, &x, _| (x > 1).then(|| x - 1),
+            |i, &x| self.job_utility(i, f64::from(x), drop_of(i)),
+        );
         xs
     }
 
@@ -636,32 +771,13 @@ impl MultiTenantProblem {
     /// from jobs at full predicted utility while the *cluster* objective
     /// stays unchanged.
     pub fn shrink(&self, xs: &mut [u32], drops: &[f64]) {
-        let eps = 1e-9;
         let drop_of = |i: usize| drops.get(i).copied().unwrap_or(0.0);
-        // Same incremental scheme as `integerize`: a removal only
-        // changes job `i`'s utility, so cache the vector and patch.
-        let mut utils: Vec<JobUtility> = (0..xs.len())
-            .map(|i| self.job_utility(i, f64::from(xs[i]), drop_of(i)))
-            .collect();
-        for i in 0..xs.len() {
-            loop {
-                if xs[i] <= 1 {
-                    break;
-                }
-                if utils[i].utility < 1.0 - 1e-9 {
-                    break; // Only shrink jobs at (predicted) utility 1.
-                }
-                let before = self.objective.aggregate(&utils);
-                let cand = self.job_utility(i, f64::from(xs[i] - 1), drop_of(i));
-                let saved = std::mem::replace(&mut utils[i], cand);
-                let after = self.objective.aggregate(&utils);
-                if after < before - eps {
-                    utils[i] = saved; // Cluster utility changed: stop here.
-                    break;
-                }
-                xs[i] -= 1;
-            }
-        }
+        shrink_greedy(
+            self.objective,
+            xs,
+            |&x| (x > 1).then(|| x - 1),
+            |i, &x| self.job_utility(i, f64::from(x), drop_of(i)),
+        );
     }
 }
 
@@ -861,6 +977,26 @@ mod tests {
     }
 
     #[test]
+    fn shrink_accepts_a_removal_that_turns_the_objective_nan() {
+        // The shared shrink loop rejects a removal only when the
+        // objective provably drops (`after < before - eps`), so a NaN
+        // objective never blocks one; `after >= before - eps` would
+        // stop at 2.
+        let mut xs = [3u32];
+        shrink_greedy(
+            ClusterObjective::PenaltySum,
+            &mut xs,
+            |&x| (x > 1).then(|| x - 1),
+            |_, &x| JobUtility {
+                utility: 1.0,
+                effective_utility: if x >= 2 { 1.0 } else { f64::NAN },
+                priority: 1.0,
+            },
+        );
+        assert_eq!(xs, [1]);
+    }
+
+    #[test]
     fn penalty_objective_adds_drop_variables() {
         let p = two_job_problem(32, ClusterObjective::PenaltySum);
         let alloc = p.solve(&Cobyla::fast(), &[1, 1]).unwrap();
@@ -1032,14 +1168,14 @@ mod tests {
                 },
                 1.0,
             )];
-            MultiTenantProblem::new(
-                jobs,
-                ResourceModel::replicas(ReplicaCount::new(32)),
-                ClusterObjective::Sum,
-                Fidelity::Relaxed,
-            )
-            .unwrap()
-            .with_latency_model(model)
+            let spec = SolveSpec {
+                latency_model: model,
+                ..crate::faro::FaroConfig::new(ClusterObjective::Sum)
+                    .solve_spec()
+                    .unwrap()
+            };
+            spec.problem(jobs, ResourceModel::replicas(ReplicaCount::new(32)))
+                .unwrap()
         };
         let mdc_p = mk(LatencyModel::MDc);
         let ub_p = mk(LatencyModel::UpperBound);

@@ -17,11 +17,14 @@
 //!    replica budget. Budgets are integerized by largest remainder with
 //!    a one-replica-per-member floor, summing exactly to the quota.
 //! 3. **Independent shard solves** — each shard solves its members
-//!    against its own budget (flat COBYLA below
-//!    [`ShardConfig::flat_threshold`] members, the grouped solve above
-//!    it), on `std::thread::scope` workers. Results are merged in shard
+//!    against its own budget through [`crate::opt::solve_global`] with
+//!    the round's [`SolveSpec`], so every knob of the global solve
+//!    (objective, fidelity, latency model, relaxations, shrinking,
+//!    flat threshold, group count) means the same thing inside a shard.
+//!    Shards run on `std::thread::scope` workers and are merged in shard
 //!    index order, so the output is byte-identical regardless of thread
-//!    count or interleaving.
+//!    count or interleaving. The top-level split is built from the same
+//!    spec with its objective made drop-free.
 //! 4. **Incremental re-solves** — each solved job's workload signature
 //!    (mean predicted rate, processing time, SLO, priority) is cached;
 //!    a shard re-enters the solver only when a member's rate or
@@ -32,9 +35,8 @@
 //!    split plus only the shards that actually changed.
 
 use crate::error::Result;
-use crate::hierarchical::{replica_need, solve_hierarchical};
-use crate::objective::ClusterObjective;
-use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
+use crate::hierarchical::replica_need;
+use crate::opt::{solve_global, IntegerAllocation, JobWorkload, SolveSpec};
 use crate::rng::SplitMix64;
 use crate::types::{DesiredState, JobDecision, JobId, ResourceModel, Slo};
 use crate::units::ReplicaCount;
@@ -52,7 +54,10 @@ pub enum SolvePlan {
     Sharded(ShardConfig),
 }
 
-/// Configuration for the sharded solver.
+/// Configuration for the sharded solver: how jobs are partitioned and
+/// solved in parallel. How each shard solves (flat threshold, group
+/// count, shrinking and the other solve knobs) comes from the round's
+/// [`SolveSpec`], the same as the global solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
     /// Shard count (clamped to the job count).
@@ -64,13 +69,6 @@ pub struct ShardConfig {
     /// time that marks its shard dirty. SLO or priority changes always
     /// do.
     pub dirty_epsilon: f64,
-    /// Member count above which a shard solves with the grouped
-    /// (hierarchical) formulation instead of flat COBYLA.
-    pub flat_threshold: usize,
-    /// Group count for within-shard grouped solves.
-    pub groups: usize,
-    /// Stage-3 shrinking on flat within-shard solves.
-    pub use_shrinking: bool,
 }
 
 impl Default for ShardConfig {
@@ -79,9 +77,6 @@ impl Default for ShardConfig {
             shards: 16,
             parallelism: 0,
             dirty_epsilon: 0.05,
-            flat_threshold: 50,
-            groups: 10,
-            use_shrinking: true,
         }
     }
 }
@@ -186,23 +181,6 @@ impl JobSignature {
     }
 }
 
-/// A shard's cached solve: member decisions in member-list order.
-#[derive(Debug, Clone)]
-struct ShardCache {
-    replicas: Vec<u32>,
-    drops: Vec<f64>,
-    /// Total replicas the cached allocation uses (re-solve trigger when
-    /// the new budget dips below it).
-    used: u32,
-}
-
-/// One shard solve's raw output.
-struct ShardResult {
-    replicas: Vec<u32>,
-    drops: Vec<f64>,
-    evals: u64,
-}
-
 /// Deterministic LPT partition: jobs sorted by `need` descending (ties
 /// by index), each placed on the least-loaded shard (ties by shard
 /// index). Every shard is non-empty when `needs.len() >= shards`.
@@ -277,13 +255,11 @@ fn split_budgets(cont: &[f64], floors: &[u32], quota: u32) -> Vec<u32> {
 
 /// Everything a shard worker needs, shared read-only across threads.
 struct SolveCtx<'a> {
+    spec: &'a SolveSpec,
     jobs: &'a [JobWorkload],
     resources: ResourceModel,
-    objective: ClusterObjective,
-    fidelity: Fidelity,
     solver: &'a (dyn Solver + Sync),
     current: &'a [u32],
-    cfg: ShardConfig,
     seed: u64,
 }
 
@@ -312,51 +288,27 @@ fn sub_resources_for_budget(resources: &ResourceModel, budget: u32) -> ResourceM
     }
 }
 
-/// Solves one shard against its budget: flat COBYLA (+ integerize +
-/// optional shrink) for small member lists, the grouped solve above
-/// [`ShardConfig::flat_threshold`], with a per-shard child seed.
+/// Solves one shard against its budget with [`solve_global`] and a
+/// per-shard child seed.
 fn solve_shard(
     ctx: &SolveCtx<'_>,
     members: &[usize],
     budget: u32,
     shard: usize,
-) -> Result<ShardResult> {
+) -> Result<IntegerAllocation> {
     let sub_jobs: Vec<JobWorkload> = members.iter().map(|&i| ctx.jobs[i].clone()).collect();
     let sub_current: Vec<u32> = members
         .iter()
         .map(|&i| ctx.current.get(i).copied().unwrap_or(1))
         .collect();
-    let sub_resources = sub_resources_for_budget(&ctx.resources, budget);
-    if members.len() > ctx.cfg.flat_threshold {
-        let out = solve_hierarchical(
-            &sub_jobs,
-            sub_resources,
-            ctx.objective,
-            ctx.fidelity,
-            ctx.solver,
-            &sub_current,
-            ctx.cfg.groups,
-            SplitMix64::child_seed(ctx.seed, shard as u64),
-        )?;
-        Ok(ShardResult {
-            replicas: out.replicas,
-            drops: out.drop_rates,
-            evals: out.evals as u64,
-        })
-    } else {
-        let problem =
-            MultiTenantProblem::new(sub_jobs, sub_resources, ctx.objective, ctx.fidelity)?;
-        let alloc = problem.solve(ctx.solver, &sub_current)?;
-        let mut xs = problem.integerize(&alloc);
-        if ctx.cfg.use_shrinking {
-            problem.shrink(&mut xs, &alloc.drop_rates);
-        }
-        Ok(ShardResult {
-            replicas: xs,
-            drops: alloc.drop_rates,
-            evals: alloc.evals as u64,
-        })
-    }
+    solve_global(
+        ctx.spec,
+        sub_jobs,
+        sub_resources_for_budget(&ctx.resources, budget),
+        ctx.solver,
+        &sub_current,
+        SplitMix64::child_seed(ctx.seed, shard as u64),
+    )
 }
 
 /// Runs the dirty-shard solves on scoped worker threads. `tasks` holds
@@ -368,8 +320,8 @@ fn run_shard_solves(
     members: &[Vec<usize>],
     tasks: &[(usize, u32)],
     threads: usize,
-) -> Vec<Option<Result<ShardResult>>> {
-    let mut results: Vec<Option<Result<ShardResult>>> = Vec::new();
+) -> Vec<Option<Result<IntegerAllocation>>> {
+    let mut results: Vec<Option<Result<IntegerAllocation>>> = Vec::new();
     results.resize_with(tasks.len(), || None);
     if threads <= 1 || tasks.len() <= 1 {
         for (slot, &(shard, budget)) in tasks.iter().enumerate() {
@@ -407,13 +359,15 @@ pub struct ShardedSolver {
     /// Signatures backing the cached allocations (`None` = never
     /// solved).
     sigs: Vec<Option<JobSignature>>,
-    /// Cached per-shard allocations.
-    caches: Vec<Option<ShardCache>>,
+    /// Cached per-shard solves (member decisions in member-list order).
+    caches: Vec<Option<IntegerAllocation>>,
     /// Budgets from the last top-level split.
     budgets: Vec<u32>,
-    /// Job count and quota the partition was built for.
+    /// Job count, quota and solve spec the partition and caches were
+    /// built for.
     n_jobs: usize,
     last_quota: u32,
+    last_spec: Option<SolveSpec>,
 }
 
 impl ShardedSolver {
@@ -429,6 +383,7 @@ impl ShardedSolver {
             budgets: Vec::new(),
             n_jobs: 0,
             last_quota: 0,
+            last_spec: None,
         }
     }
 
@@ -446,11 +401,12 @@ impl ShardedSolver {
         self.budgets.clear();
         self.n_jobs = 0;
         self.last_quota = 0;
+        self.last_spec = None;
     }
 
-    /// One sharded long-term round: partition (if stale), dirty-check,
-    /// top-level split, parallel dirty-shard solves, deterministic
-    /// merge.
+    /// One sharded long-term round under `spec`: partition (if stale),
+    /// dirty-check, top-level split, parallel dirty-shard solves,
+    /// deterministic merge.
     ///
     /// # Errors
     ///
@@ -458,10 +414,9 @@ impl ShardedSolver {
     /// state is left untouched so the next round retries cleanly.
     pub fn solve(
         &mut self,
+        spec: &SolveSpec,
         jobs: &[JobWorkload],
         resources: ResourceModel,
-        objective: ClusterObjective,
-        fidelity: Fidelity,
         solver: &(dyn Solver + Sync),
         current: &[u32],
     ) -> Result<ShardedAllocation> {
@@ -470,11 +425,11 @@ impl ShardedSolver {
         // Delegate validation (empty set, quota floor) to the problem
         // constructor the shards use anyway.
         if n == 0 || (quota.get() as usize) < n {
-            MultiTenantProblem::new(jobs.to_vec(), resources.clone(), objective, fidelity)?;
+            spec.problem(jobs.to_vec(), resources.clone())?;
         }
 
         let new_sigs: Vec<JobSignature> = jobs.iter().map(JobSignature::of).collect();
-        if n != self.n_jobs || quota.get() != self.last_quota {
+        if n != self.n_jobs || quota.get() != self.last_quota || self.last_spec != Some(*spec) {
             let needs: Vec<f64> = jobs.iter().map(|j| replica_need(j, quota)).collect();
             let assignment = assign_shards(&needs, self.cfg.shards);
             let s = assignment.iter().copied().max().map_or(1, |m| m + 1);
@@ -487,6 +442,7 @@ impl ShardedSolver {
             self.budgets = Vec::new();
             self.n_jobs = n;
             self.last_quota = quota.get();
+            self.last_spec = Some(*spec);
         }
         let s = self.members.len();
 
@@ -511,12 +467,11 @@ impl ShardedSolver {
             let cont: Vec<f64> = if s == 1 {
                 vec![quota.as_f64()]
             } else {
-                let split_problem = MultiTenantProblem::new(
-                    pseudo,
-                    resources.clone(),
-                    objective.drop_free(),
-                    fidelity,
-                )?;
+                let split_spec = SolveSpec {
+                    objective: spec.objective.drop_free(),
+                    ..*spec
+                };
+                let split_problem = split_spec.problem(pseudo, resources.clone())?;
                 let split = split_problem.solve(solver, &x0)?;
                 split_evals = split.evals as u64;
                 split.replicas
@@ -531,7 +486,7 @@ impl ShardedSolver {
             .filter(|&shard| {
                 dirty[shard]
                     || match &self.caches[shard] {
-                        Some(c) => c.used > self.budgets[shard],
+                        Some(c) => c.replicas.iter().sum::<u32>() > self.budgets[shard],
                         None => true,
                     }
             })
@@ -544,13 +499,11 @@ impl ShardedSolver {
             self.cfg.parallelism
         };
         let ctx = SolveCtx {
+            spec,
             jobs,
             resources,
-            objective,
-            fidelity,
             solver,
             current,
-            cfg: self.cfg,
             seed: self.seed,
         };
         let results = run_shard_solves(&ctx, &self.members, &tasks, threads);
@@ -558,7 +511,7 @@ impl ShardedSolver {
         // Merge in shard-index order; propagate the first failure (by
         // task slot, i.e. ascending shard index) without touching the
         // caches.
-        let mut solved_new: Vec<(usize, ShardResult)> = Vec::with_capacity(tasks.len());
+        let mut solved_new: Vec<(usize, IntegerAllocation)> = Vec::with_capacity(tasks.len());
         for (slot, out) in results.into_iter().enumerate() {
             let shard = tasks[slot].0;
             match out.expect("every task slot is filled") {
@@ -575,25 +528,20 @@ impl ShardedSolver {
         };
         let mut spans = Vec::with_capacity(solved_new.len());
         for (shard, r) in &solved_new {
-            record.evals += r.evals;
+            record.evals += r.evals as u64;
             spans.push(ShardSpan {
                 shard: *shard as u32,
-                evals: r.evals,
+                evals: r.evals as u64,
             });
         }
         record.split_evals = split_evals;
 
         // Commit: caches and signatures update only for solved shards.
         for (shard, r) in solved_new {
-            let used = r.replicas.iter().sum();
             for &j in &self.members[shard] {
                 self.sigs[j] = Some(new_sigs[j]);
             }
-            self.caches[shard] = Some(ShardCache {
-                replicas: r.replicas,
-                drops: r.drops,
-                used,
-            });
+            self.caches[shard] = Some(r);
         }
 
         let mut replicas = vec![1u32; n];
@@ -605,7 +553,7 @@ impl ShardedSolver {
             }
             for (pos, &j) in members.iter().enumerate() {
                 replicas[j] = cache.replicas[pos].max(1);
-                drop_rates[j] = cache.drops[pos];
+                drop_rates[j] = cache.drop_rates[pos];
             }
         }
         Ok(ShardedAllocation {
@@ -684,7 +632,13 @@ impl ShardedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faro::FaroConfig;
+    use crate::objective::ClusterObjective;
     use faro_solver::Cobyla;
+
+    fn spec(objective: ClusterObjective) -> SolveSpec {
+        FaroConfig::new(objective).solve_spec().unwrap()
+    }
 
     fn job(lambda: f64) -> JobWorkload {
         JobWorkload::constant(lambda, 0.180, Slo::paper_default(), 1.0)
@@ -734,10 +688,9 @@ mod tests {
         let mut solver = ShardedSolver::new(ShardConfig::with_shards(3), 7);
         let out = solver
             .solve(
+                &spec(ClusterObjective::Sum),
                 &js,
                 ResourceModel::replicas(ReplicaCount::new(48)),
-                ClusterObjective::Sum,
-                Fidelity::Relaxed,
                 &Cobyla::fast(),
                 &[1; 12],
             )
@@ -760,20 +713,18 @@ mod tests {
         let mut solver = ShardedSolver::new(ShardConfig::with_shards(3), 7);
         let cold = solver
             .solve(
+                &spec(ClusterObjective::Sum),
                 &js,
                 resources.clone(),
-                ClusterObjective::Sum,
-                Fidelity::Relaxed,
                 &Cobyla::fast(),
                 &[1; 12],
             )
             .unwrap();
         let warm = solver
             .solve(
+                &spec(ClusterObjective::Sum),
                 &js,
                 resources.clone(),
-                ClusterObjective::Sum,
-                Fidelity::Relaxed,
                 &Cobyla::fast(),
                 &cold.replicas,
             )
@@ -797,10 +748,9 @@ mod tests {
         let solve = |solver: &mut ShardedSolver, js: &[JobWorkload]| {
             solver
                 .solve(
+                    &spec(ClusterObjective::Sum),
                     js,
                     resources.clone(),
-                    ClusterObjective::Sum,
-                    Fidelity::Relaxed,
                     &Cobyla::fast(),
                     &[1; 12],
                 )
@@ -829,10 +779,9 @@ mod tests {
         let solve = |solver: &mut ShardedSolver, js: &[JobWorkload]| {
             solver
                 .solve(
+                    &spec(ClusterObjective::Sum),
                     js,
                     resources.clone(),
-                    ClusterObjective::Sum,
-                    Fidelity::Relaxed,
                     &Cobyla::fast(),
                     &[1; 8],
                 )
@@ -852,10 +801,9 @@ mod tests {
         let solve = |solver: &mut ShardedSolver, quota: u32| {
             solver
                 .solve(
+                    &spec(ClusterObjective::Sum),
                     &js,
                     ResourceModel::replicas(ReplicaCount::new(quota)),
-                    ClusterObjective::Sum,
-                    Fidelity::Relaxed,
                     &Cobyla::fast(),
                     &[1; 8],
                 )
@@ -865,6 +813,32 @@ mod tests {
         let out = solve(&mut solver, 24);
         assert_eq!(out.record.solved, 2, "quota change re-solves everything");
         assert!(out.replicas.iter().sum::<u32>() <= 24);
+    }
+
+    #[test]
+    fn spec_change_invalidates_the_caches() {
+        let js = jobs(8);
+        let mut solver = ShardedSolver::new(ShardConfig::with_shards(2), 1);
+        let solve = |solver: &mut ShardedSolver, spec: &SolveSpec| {
+            solver
+                .solve(
+                    spec,
+                    &js,
+                    ResourceModel::replicas(ReplicaCount::new(24)),
+                    &Cobyla::fast(),
+                    &[1; 8],
+                )
+                .unwrap()
+        };
+        let sum = spec(ClusterObjective::Sum);
+        solve(&mut solver, &sum);
+        assert_eq!(solve(&mut solver, &sum).record.solved, 0);
+        let no_shrink = SolveSpec {
+            shrink: false,
+            ..sum
+        };
+        let out = solve(&mut solver, &no_shrink);
+        assert_eq!(out.record.solved, 2, "a new spec re-solves everything");
     }
 
     #[test]
@@ -880,10 +854,9 @@ mod tests {
             let mut solver = ShardedSolver::new(cfg, 11);
             solver
                 .solve(
+                    &spec(ClusterObjective::Sum),
                     &js,
                     resources.clone(),
-                    ClusterObjective::Sum,
-                    Fidelity::Relaxed,
                     &Cobyla::fast(),
                     &[1; 24],
                 )
@@ -904,10 +877,9 @@ mod tests {
         let mut solver = ShardedSolver::new(ShardConfig::with_shards(2), 5);
         let out = solver
             .solve(
+                &spec(ClusterObjective::PenaltySum),
                 &js,
                 ResourceModel::replicas(ReplicaCount::new(16)),
-                ClusterObjective::PenaltySum,
-                Fidelity::Relaxed,
                 &Cobyla::fast(),
                 &[1; 8],
             )

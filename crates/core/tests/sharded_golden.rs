@@ -13,8 +13,9 @@
 //!    cluster performs zero shard solves and returns the exact bytes of
 //!    the previous answer.
 
+use faro_core::faro::FaroConfig;
 use faro_core::objective::ClusterObjective;
-use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
+use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem, SolveSpec};
 use faro_core::sharded::{ShardConfig, ShardedSolver};
 use faro_core::types::{ResourceModel, Slo};
 use faro_core::units::ReplicaCount;
@@ -26,6 +27,12 @@ fn workload(lambdas: &[f64]) -> Vec<JobWorkload> {
         .iter()
         .map(|&l| JobWorkload::constant(l, 0.180, Slo::paper_default(), 1.0))
         .collect()
+}
+
+fn spec(objective: ClusterObjective) -> SolveSpec {
+    FaroConfig::new(objective)
+        .solve_spec()
+        .expect("default knobs are valid")
 }
 
 fn resources(jobs: usize, per_job: u32) -> ResourceModel {
@@ -50,10 +57,9 @@ fn solve_with_parallelism(
     let current = vec![1u32; jobs.len()];
     let out = solver
         .solve(
+            &spec(objective),
             jobs,
             resources(jobs.len(), 4),
-            objective,
-            Fidelity::Relaxed,
             &cobyla,
             &current,
         )
@@ -114,7 +120,7 @@ proptest! {
         let cfg = ShardConfig { shards, parallelism: 1, ..ShardConfig::default() };
         let mut sharded = ShardedSolver::new(cfg, 17);
         let out = sharded
-            .solve(&jobs, res.clone(), ClusterObjective::Sum, Fidelity::Relaxed, &cobyla, &current)
+            .solve(&spec(ClusterObjective::Sum), &jobs, res.clone(), &cobyla, &current)
             .expect("sharded solve");
 
         let zeros = vec![0.0; jobs.len()];
@@ -143,10 +149,9 @@ fn clean_round_returns_cached_bytes_with_zero_solves() {
     let res = resources(jobs.len(), 4);
     let cold = solver
         .solve(
+            &spec(ClusterObjective::Sum),
             &jobs,
             res.clone(),
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
             &cobyla,
             &current,
         )
@@ -154,10 +159,9 @@ fn clean_round_returns_cached_bytes_with_zero_solves() {
     assert_eq!(cold.record.solved, 3, "cold round solves every shard");
     let warm = solver
         .solve(
+            &spec(ClusterObjective::Sum),
             &jobs,
             res.clone(),
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
             &cobyla,
             &cold.replicas,
         )
